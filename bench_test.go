@@ -102,7 +102,7 @@ func BenchmarkTable7(b *testing.B) {
 	ds := study(b).Dataset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = patterns.DetectAll(ds)
+		_ = patterns.DetectAllPar(ds, parallel.Options{})
 	}
 }
 
@@ -119,7 +119,7 @@ func BenchmarkTable9(b *testing.B) {
 	ds, det := s.Dataset(), s.Detection()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = regions.Analyze(ds, det)
+		_ = regions.AnalyzePar(ds, det, parallel.Options{})
 	}
 }
 
@@ -213,7 +213,7 @@ func BenchmarkFigure5(b *testing.B) {
 	ds := s.Dataset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = patterns.AnalyzeNS(ds, w.Fabric, w.Registry, 20)
+		_ = patterns.AnalyzeNSPar(ds, w.Fabric, w.Registry, 20, nil, parallel.Options{Workers: 1})
 	}
 }
 

@@ -401,9 +401,6 @@ func (s *Study) Par(stage string) parallel.Options {
 	}
 }
 
-// par is the internal shorthand for Par.
-func (s *Study) par(stage string) parallel.Options { return s.Par(stage) }
-
 // parCtx is Par bound to a request context: the stage's fan-out aborts
 // between shards once ctx is cancelled.
 func (s *Study) parCtx(ctx context.Context, stage string) parallel.Options {
@@ -652,7 +649,7 @@ func (s *Study) WriteCapture(w pcapWriter) (*capture.Truth, error) {
 	ccfg := capture.DefaultConfig()
 	ccfg.Seed = s.Cfg.Seed
 	ccfg.Flows = s.Cfg.CaptureFlows
-	ccfg.Par = s.par("capture")
+	ccfg.Par = s.Par("capture")
 	ccfg.Chaos = s.eng
 	g := capture.NewGenerator(ccfg, s.World())
 	return g.Generate(pcapio.NewWriter(w, ccfg.Snaplen))
@@ -682,8 +679,8 @@ func (s *Study) campaignBase(ctx context.Context) (*wanperf.Campaign, error) {
 	return s.campaign.get(ctx, func() (*wanperf.Campaign, error) {
 		defer s.tel.StartSpan("study/wanperf").End()
 		c := wanperf.NewCampaign(s.Cfg.Seed, s.Cfg.WANClients, ipranges.EC2Regions)
-		c.Par = s.par("wanperf")
-		c.Model.Par = s.par("wanperf")
+		c.Par = s.Par("wanperf")
+		c.Model.Par = s.Par("wanperf")
 		if s.tel != nil {
 			c.Model.SetMetrics(wan.NewMetrics(s.tel.Registry()))
 		}

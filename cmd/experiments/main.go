@@ -4,6 +4,7 @@
 // Usage:
 //
 //	experiments [-domains N] [-seed S] [-flows N] [-only table9,figure12]
+//	experiments -only discovery|zones|wan   # one measurement leg
 //	experiments -json study.json        # the daemon's V1 document, offline
 //	experiments -chaos hostile -chaos-record trace.jsonl
 //	experiments -chaos-replay trace.jsonl
@@ -32,7 +33,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "world seed")
 	flows := flag.Int("flows", 30000, "border-capture flows")
 	vantages := flag.Int("vantages", 200, "distributed DNS vantage points")
-	only := flag.String("only", "", "comma-separated experiment IDs (default: all)")
+	only := flag.String("only", "", "comma-separated experiment IDs or groups (discovery, zones, wan; default: all)")
 	plotdata := flag.String("plotdata", "", "directory to write per-figure TSV series into")
 	bisect := flag.String("chaos-bisect", "",
 		"delta-debug the fault trace in this file to a minimal sub-trace that still changes the selected experiments' output from the fault-free run; prints the culprits and writes <file>.min")
@@ -108,8 +109,15 @@ func main() {
 	}
 
 	want := map[string]bool{}
+	var legs []string
 	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
+		id = strings.TrimSpace(id)
+		if g, ok := groups[id]; ok {
+			legs = append(legs, id)
+			for _, gid := range g.ids {
+				want[gid] = true
+			}
+		} else if id != "" {
 			want[id] = true
 		}
 	}
@@ -148,7 +156,11 @@ func main() {
 		for _, e := range cloudscope.Experiments() {
 			fmt.Fprintln(os.Stderr, "  "+e.ID)
 		}
+		fmt.Fprintln(os.Stderr, "groups: discovery, zones, wan")
 		os.Exit(1)
+	}
+	for _, name := range legs {
+		fmt.Printf("==== %s summary ====\n%s\n", name, groups[name].summary(study))
 	}
 	if shared.Faulting() {
 		fmt.Printf("==== completeness ====\n%s\n", study.Completeness().Report())
@@ -161,6 +173,36 @@ func main() {
 	if err := shared.Finish(os.Stdout, study); err != nil {
 		fatal(err)
 	}
+}
+
+// groups are the named -only selections, one per measurement leg: each
+// expands to that leg's experiments and adds its summary lines.
+var groups = map[string]struct {
+	ids     []string
+	summary func(*cloudscope.Study) string
+}{
+	"discovery": {[]string{"table3", "table4", "table7", "table9"}, func(s *cloudscope.Study) string {
+		ds := s.Dataset()
+		return fmt.Sprintf("scanned %d domains, %d queries, %d AXFR successes (%.1f simulated probe-days serial)\n"+
+			"subdomains seen: %d; cloud-using: %d under %d domains\n",
+			ds.Stats.DomainsScanned, ds.Stats.QueriesIssued, ds.Stats.AXFRSuccesses,
+			ds.Stats.SerialProbeTime.Hours()/24,
+			ds.Stats.SubdomainsSeen, ds.Stats.CloudSubdomains, len(ds.CloudDomains()))
+	}},
+	"zones": {[]string{"table12", "table13", "table14", "table15", "figure7", "figure8"}, func(s *cloudscope.Study) string {
+		z := s.Zones()
+		return fmt.Sprintf("targets: %d physical EC2 instances; combined coverage %.1f%%\n",
+			len(z.Targets), 100*z.Combined.Coverage())
+	}},
+	"wan": {[]string{"figure9", "figure10", "figure11", "figure12", "table11", "table16"}, func(s *cloudscope.Study) string {
+		res := s.Campaign().Outages(3, 50)
+		var b strings.Builder
+		b.WriteString("Route-outage simulation (mean fraction of clients cut off):\n")
+		for k := 1; k <= 3; k++ {
+			fmt.Fprintf(&b, "  k=%d regions: %.4f\n", k, res.MeanUnreachable[k])
+		}
+		return b.String()
+	}},
 }
 
 // runBisect shrinks a recorded fault trace to a locally-minimal

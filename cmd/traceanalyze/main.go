@@ -52,7 +52,7 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
-	an, err := capture.AnalyzePar(f, ipranges.Published(), parallel.Options{Workers: shared.Workers})
+	an, err := capture.AnalyzeOpts(f, ipranges.Published(), capture.AnalyzeOptions{Par: parallel.Options{Workers: shared.Workers}})
 	if err != nil {
 		fatal(err)
 	}

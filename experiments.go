@@ -8,6 +8,7 @@ import (
 	"cloudscope/internal/capture"
 	"cloudscope/internal/core/backend"
 	"cloudscope/internal/core/classify"
+	"cloudscope/internal/core/regions"
 	"cloudscope/internal/core/traffic"
 	"cloudscope/internal/core/wanperf"
 	"cloudscope/internal/core/zones"
@@ -172,7 +173,7 @@ func runTable9(s *Study) string {
 
 func runTable10(s *Study) string {
 	// Table 10 includes Azure-heavy domains, so rank over all clouds.
-	rows := regionsTop(s, 14)
+	rows := regions.TopDomains(s.Regions(), s, 14)
 	t := &stats.Table{
 		Title:  "Table 10: region usage of top cloud-using domains",
 		Header: []string{"Rank", "Domain", "# Cloud Subdom", "Total # Regions", "k=1", "k=2"},
@@ -186,7 +187,7 @@ func runTable10(s *Study) string {
 func runTable11(s *Study) string {
 	rows := wanperf.IntraCloudRTTs(s.World().EC2, "ec2.us-east-1", wanperf.Options{
 		Seed:         s.Cfg.Seed,
-		Par:          s.par("rtt"),
+		Par:          s.Par("rtt"),
 		Chaos:        s.eng,
 		Completeness: s.tel.Completeness(),
 	})
@@ -268,10 +269,10 @@ func runTable16(s *Study) string {
 	// The paper's traceroute leg used 200 PlanetLab nodes (Figure 2) —
 	// more than the 80 used for latency/throughput probing.
 	m := wan.New(s.Cfg.Seed, 200, ipranges.EC2Regions)
-	m.Par = s.par("isp")
+	m.Par = s.Par("isp")
 	rows := wanperf.ISPDiversity(m, zoneCounts, wanperf.Options{
 		Seed:         s.Cfg.Seed,
-		Par:          s.par("isp"),
+		Par:          s.Par("isp"),
 		Chaos:        s.eng,
 		Completeness: s.tel.Completeness(),
 	})
@@ -526,57 +527,4 @@ func renderSeries(title string, series map[string][]stats.Point, maxPts int) str
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// regionsTop adapts regions.TopDomains to the study's ranker.
-func regionsTop(s *Study, n int) []regionsTopRow {
-	rows := regionsTopDomains(s, n)
-	return rows
-}
-
-type regionsTopRow struct {
-	Rank         int
-	Domain       string
-	CloudSubs    int
-	TotalRegions int
-	K1, K2       int
-}
-
-func regionsTopDomains(s *Study, n int) []regionsTopRow {
-	raw := s.Regions()
-	type agg struct {
-		row     regionsTopRow
-		regions map[string]bool
-	}
-	per := map[string]*agg{}
-	for _, sr := range raw.Subdomains {
-		a := per[sr.Domain]
-		if a == nil {
-			a = &agg{row: regionsTopRow{Domain: sr.Domain, Rank: s.RankOf(sr.Domain)}, regions: map[string]bool{}}
-			per[sr.Domain] = a
-		}
-		a.row.CloudSubs++
-		switch len(sr.Regions) {
-		case 1:
-			a.row.K1++
-		case 2:
-			a.row.K2++
-		}
-		for _, r := range sr.Regions {
-			a.regions[r] = true
-		}
-	}
-	var out []regionsTopRow
-	for _, a := range per {
-		if a.row.Rank == 0 {
-			continue
-		}
-		a.row.TotalRegions = len(a.regions)
-		out = append(out, a.row)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
 }

@@ -164,13 +164,6 @@ type flowKey struct {
 	proto          uint8
 }
 
-// Analyze reads a pcap stream and builds per-flow records. Only flows
-// whose non-campus endpoint is inside the published cloud ranges are
-// kept — the same filter the border tap applied.
-func Analyze(r io.Reader, ranges *ipranges.List) (*Analysis, error) {
-	return AnalyzeOpts(r, ranges, AnalyzeOptions{Par: parallel.Options{Workers: 1}})
-}
-
 // AnalyzeOptions parameterizes AnalyzeOpts beyond the stream itself.
 type AnalyzeOptions struct {
 	// Par bounds the parallel pre-decode phase.
@@ -243,12 +236,9 @@ func predecodeRecord(d *predecode, ranges *ipranges.List, data []byte) {
 	d.payload = p.Payload
 }
 
-// AnalyzePar is Analyze with the per-packet work fanned out over opt.
-func AnalyzePar(r io.Reader, ranges *ipranges.List, opt parallel.Options) (*Analysis, error) {
-	return AnalyzeOpts(r, ranges, AnalyzeOptions{Par: opt})
-}
-
-// AnalyzeOpts is the full-control analyzer entry point. The pcap
+// AnalyzeOpts reads a pcap stream and builds per-flow records. Only
+// flows whose non-campus endpoint is inside the published cloud ranges
+// are kept — the same filter the border tap applied. The pcap
 // stream is read block-wise into pooled buffers (no per-record
 // allocation), header decode and range lookup shard freely over blocks,
 // and flow assembly — the only stateful step — stays sequential in

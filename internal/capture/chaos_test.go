@@ -93,7 +93,7 @@ func TestCaptureFaultsObservable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := Analyze(bytes.NewReader(clean), capWorld.Ranges)
+	ca, err := AnalyzeOpts(bytes.NewReader(clean), capWorld.Ranges, AnalyzeOptions{Par: parallel.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCaptureFaultsObservable(t *testing.T) {
 func TestAnalyzeTruncatedPcap(t *testing.T) {
 	raw, _ := genBytes(t, testCfg(40))
 	for _, cut := range []int{len(raw) - 5, 24 + 8} {
-		_, err := Analyze(bytes.NewReader(raw[:cut]), capWorld.Ranges)
+		_, err := AnalyzeOpts(bytes.NewReader(raw[:cut]), capWorld.Ranges, AnalyzeOptions{Par: parallel.Options{Workers: 1}})
 		if !errors.Is(err, pcapio.ErrTruncated) {
 			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, err)
 		}
@@ -162,7 +162,7 @@ func TestAnalyzeTruncatedPcap(t *testing.T) {
 		t.Fatal(err)
 	}
 	boundary := 24 + 16 + len(rec.Data)
-	if _, err := Analyze(bytes.NewReader(raw[:boundary]), capWorld.Ranges); err != nil {
+	if _, err := AnalyzeOpts(bytes.NewReader(raw[:boundary]), capWorld.Ranges, AnalyzeOptions{Par: parallel.Options{Workers: 1}}); err != nil {
 		t.Fatalf("boundary cut: %v", err)
 	}
 }
@@ -175,8 +175,8 @@ func TestCaptureChaosRace(t *testing.T) {
 	cfg := chaosCfg(t, 600, "hostile-capture", 7)
 	cfg.Par = parallel.Options{Workers: runtime.GOMAXPROCS(0), ShardSize: 16}
 	raw, _ := genBytes(t, cfg)
-	if _, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges,
-		parallel.Options{Workers: runtime.GOMAXPROCS(0), ShardSize: 8}); err != nil {
+	if _, err := AnalyzeOpts(bytes.NewReader(raw), capWorld.Ranges,
+		AnalyzeOptions{Par: parallel.Options{Workers: runtime.GOMAXPROCS(0), ShardSize: 8}}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -60,14 +60,14 @@ func TestGenerateWorkerCountInvariant(t *testing.T) {
 // pre-decode fan-out reconstructs exactly the sequential analysis.
 func TestAnalyzeWorkerCountInvariant(t *testing.T) {
 	raw, _ := genBytes(t, testCfg(900))
-	golden, err := Analyze(bytes.NewReader(raw), capWorld.Ranges)
+	golden, err := AnalyzeOpts(bytes.NewReader(raw), capWorld.Ranges, AnalyzeOptions{Par: parallel.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
 		for _, shard := range []int{1, 64} {
-			got, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges,
-				parallel.Options{Workers: workers, ShardSize: shard})
+			got, err := AnalyzeOpts(bytes.NewReader(raw), capWorld.Ranges,
+				AnalyzeOptions{Par: parallel.Options{Workers: workers, ShardSize: shard}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,7 @@ import (
 func TestAnalyzeRetainsNoPooledBuffers(t *testing.T) {
 	cfg := testCfg(600)
 	raw, truth := genBytes(t, cfg)
-	golden, err := Analyze(bytes.NewReader(raw), capWorld.Ranges)
+	golden, err := AnalyzeOpts(bytes.NewReader(raw), capWorld.Ranges, AnalyzeOptions{Par: parallel.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestAnalyzeRetainsNoPooledBuffers(t *testing.T) {
 		t.Error("ground truth changed under poison-on-release")
 	}
 
-	got, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges, parallel.Options{Workers: 4, ShardSize: 2})
+	got, err := AnalyzeOpts(bytes.NewReader(raw), capWorld.Ranges, AnalyzeOptions{Par: parallel.Options{Workers: 4, ShardSize: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,8 @@ import (
 
 // Serialization: the paper released its datasets; cloudscope's measured
 // dataset round-trips through a line-oriented text format so analyses
-// can run without re-probing (cmd/cloudmap -save / -load).
+// can run without re-probing (experiments -stream -stream-out writes
+// it).
 //
 // Format, one record per line:
 //

@@ -151,16 +151,12 @@ type Result struct {
 	EC2Subs, AzureSubs int
 }
 
-// DetectAll classifies the whole dataset and builds Table 7's counts.
-func DetectAll(ds *dataset.Dataset) *Result {
-	return DetectAllPar(ds, parallel.Options{})
-}
-
-// DetectAllPar is DetectAll fanned out over a worker pool. Detect is a
-// pure function, so the per-subdomain classification shards freely;
-// the Table 7 aggregation walks the results in sorted-FQDN order on
-// the caller's goroutine, making the output independent of worker
-// count and scheduling.
+// DetectAllPar classifies the whole dataset and builds Table 7's
+// counts, fanned out over a worker pool. Detect is a pure function, so
+// the per-subdomain classification shards freely; the Table 7
+// aggregation walks the results in sorted-FQDN order on the caller's
+// goroutine, making the output independent of worker count and
+// scheduling.
 func DetectAllPar(ds *dataset.Dataset, opt parallel.Options) *Result {
 	fqdns := make([]string, 0, len(ds.Subdomains))
 	for fqdn := range ds.Subdomains {
@@ -304,23 +300,13 @@ type NSAnalysis struct {
 	PerSubdomainNS []float64
 }
 
-// AnalyzeNS resolves each cloud-using domain's NS records from
+// AnalyzeNSPar resolves each cloud-using domain's NS records from
 // distributed vantages and locates the servers against the published
-// ranges.
-func AnalyzeNS(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.Registry, vantages int) *NSAnalysis {
-	return AnalyzeNSMetered(ds, fabric, registry, vantages, nil)
-}
-
-// AnalyzeNSMetered is AnalyzeNS with resolver instrumentation shared
-// across its vantage resolvers.
-func AnalyzeNSMetered(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.Registry, vantages int, m *dnssrv.ResolverMetrics) *NSAnalysis {
-	return AnalyzeNSPar(ds, fabric, registry, vantages, m, parallel.Options{Workers: 1})
-}
-
-// AnalyzeNSPar is AnalyzeNSMetered with the per-domain NS lookups and
-// per-server location scans fanned out over opt. The analysis draws no
-// randomness and folds results in sorted-domain (then first-seen
-// server) order, so the output is byte-identical at every worker count.
+// ranges. m, when non-nil, instruments the vantage resolvers; the
+// per-domain NS lookups and per-server location scans fan out over
+// opt. The analysis draws no randomness and folds results in
+// sorted-domain (then first-seen server) order, so the output is
+// byte-identical at every worker count.
 func AnalyzeNSPar(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.Registry, vantages int, m *dnssrv.ResolverMetrics, opt parallel.Options) *NSAnalysis {
 	if vantages <= 0 {
 		vantages = 50

@@ -7,13 +7,14 @@ import (
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/deploy"
 	"cloudscope/internal/ipranges"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/stats"
 )
 
 var (
 	world = deploy.Generate(deploy.DefaultConfig().Scaled(1500))
 	ds    = buildDataset()
-	res   = DetectAll(ds)
+	res   = DetectAllPar(ds, parallel.Options{})
 )
 
 func buildDataset() *dataset.Dataset {
@@ -202,7 +203,7 @@ func TestSharedELBs(t *testing.T) {
 }
 
 func TestNSAnalysis(t *testing.T) {
-	ns := AnalyzeNS(ds, world.Fabric, world.Registry, 20)
+	ns := AnalyzeNSPar(ds, world.Fabric, world.Registry, 20, nil, parallel.Options{Workers: 1})
 	if len(ns.Servers) == 0 {
 		t.Fatal("no name servers analyzed")
 	}

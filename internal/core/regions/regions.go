@@ -36,15 +36,11 @@ type Analysis struct {
 	RegionDoms map[string]int
 }
 
-// Analyze maps every classified subdomain to its regions.
-func Analyze(ds *dataset.Dataset, det *patterns.Result) *Analysis {
-	return AnalyzePar(ds, det, parallel.Options{})
-}
-
-// AnalyzePar is Analyze fanned out over a worker pool. The per-subdomain
-// region lookup is pure, so it shards over sorted FQDNs; the per-region
-// and per-domain tallies run sequentially over the ordered results, so
-// the output is independent of worker count.
+// AnalyzePar maps every classified subdomain to its regions, fanned
+// out over a worker pool. The per-subdomain region lookup is pure, so
+// it shards over sorted FQDNs; the per-region and per-domain tallies
+// run sequentially over the ordered results, so the output is
+// independent of worker count.
 func AnalyzePar(ds *dataset.Dataset, det *patterns.Result, opt parallel.Options) *Analysis {
 	fqdns := make([]string, 0, len(det.Classes))
 	for fqdn := range det.Classes {

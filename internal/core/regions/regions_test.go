@@ -7,14 +7,15 @@ import (
 	"cloudscope/internal/core/patterns"
 	"cloudscope/internal/deploy"
 	"cloudscope/internal/ipranges"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/stats"
 )
 
 var (
 	world = deploy.Generate(deploy.DefaultConfig().Scaled(1500))
 	ds    = buildDataset()
-	det   = patterns.DetectAll(ds)
-	an    = Analyze(ds, det)
+	det   = patterns.DetectAllPar(ds, parallel.Options{})
+	an    = AnalyzePar(ds, det, parallel.Options{})
 )
 
 func buildDataset() *dataset.Dataset {

@@ -7,6 +7,7 @@ import (
 
 	"cloudscope/internal/capture"
 	"cloudscope/internal/deploy"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/pcapio"
 )
 
@@ -21,7 +22,7 @@ func buildAnalysis() *capture.Analysis {
 	if _, err := g.Generate(pcapio.NewWriter(&buf, cfg.Snaplen)); err != nil {
 		panic(err)
 	}
-	a, err := capture.Analyze(&buf, world.Ranges)
+	a, err := capture.AnalyzeOpts(&buf, world.Ranges, capture.AnalyzeOptions{Par: parallel.Options{Workers: 1}})
 	if err != nil {
 		panic(err)
 	}

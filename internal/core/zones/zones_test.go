@@ -6,13 +6,14 @@ import (
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/core/patterns"
 	"cloudscope/internal/deploy"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/stats"
 )
 
 var (
 	world = deploy.Generate(deploy.DefaultConfig().Scaled(1500))
 	ds    = buildDataset()
-	det   = patterns.DetectAll(ds)
+	det   = patterns.DetectAllPar(ds, parallel.Options{})
 	study = Run(ds, det, world.EC2, DefaultConfig())
 )
 

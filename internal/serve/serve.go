@@ -167,7 +167,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // Epoch returns the currently served world epoch.
 func (s *Server) Epoch() int64 { return s.state.Load().epoch }
 
-// Telemetry exposes the serve-side registry (for tests and cloudbench).
+// Telemetry exposes the serve-side registry (for tests and benchmarks).
 func (s *Server) Telemetry() *telemetry.Telemetry { return s.tel }
 
 // MaxInSystem returns the high-water mark of concurrently admitted

@@ -78,7 +78,7 @@ func stageHashes(t *testing.T, seed int64, workers int) map[string]string {
 		t.Fatal(err)
 	}
 	digest("capture", func(h *sha256Writer) { h.Write(pcap.Bytes()) })
-	an, err := capture.AnalyzePar(&pcap, world.Ranges, opt)
+	an, err := capture.AnalyzeOpts(&pcap, world.Ranges, capture.AnalyzeOptions{Par: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
